@@ -161,8 +161,8 @@ def bench_gpu_app(short: str, records: int | None = None, repeat: int = 3,
     engines.
 
     The tree side is the fully interpreted reference (tree lane engine
-    *and* tree mini-C backend); the compiled side is the default
-    compiled lane engine; the vector side is the numpy warp engine.
+    *and* tree mini-C backend); the compiled side is the per-lane
+    compiled engine; the vector side is the default numpy warp engine.
     Beyond identical output, all runs must produce bit-identical
     simulated task seconds — the engines feed one timing model and may
     not drift. ``speedup`` is compiled-over-tree (the historical

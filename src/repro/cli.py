@@ -265,6 +265,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               f"simulated s")
         print(f"  critical path {result.reduce_critical_path_seconds:21.6f} "
               f"simulated s (reduce workers {result.reduce_workers})")
+    if args.mode == "local" and not args.cpu_only:
+        from .gpu.engine import default_gpu_engine
+
+        # The runner takes no engine here, so launches used the default;
+        # the gpu.vector.* counters below say whether it vectorized.
+        print(f"gpu lane engine: {default_gpu_engine()}")
     print("counters:")
     for name, value in snapshot["counters"].items():
         print(f"  {name:28s} {value:14.1f}")

@@ -1,4 +1,5 @@
-"""GPU lane execution engines: compiled closures vs. the tree-walker.
+"""GPU lane execution engines: vectorized warps, compiled closures, and
+the tree-walker.
 
 A kernel launch simulates thousands of lanes (threads). The *body* of a
 kernel has been closure-compiled since the mini-C compiled backend
@@ -7,26 +8,32 @@ a ~100-entry builtin table rebuilt per lane, scope-dict environment
 population, per-name free-variable lookup — was still paid per lane and
 dominated GPU-path wall time.
 
-This module provides two interchangeable lane engines:
+Three interchangeable lane engines:
 
-* ``"compiled"`` (default) — :class:`CompiledLaneRunner`. Per *launch*:
-  compile the kernel body once (cached per program + charge profile,
-  :func:`repro.minic.cache.compiled_kernel_body`), build the GPU builtin
-  table once, and precompute an *environment plan* — the (slot, factory)
-  list that materializes each lane's kernel variables straight into the
-  compiled body's frame. Per *lane*: reset a lean facade, run the plan's
-  factories, call the compiled closure. No interpreter, no scope dicts,
-  no table rebuilds.
+* ``"vector"`` (default) — :class:`repro.gpu.vector.VectorLaneRunner`.
+  Executes divergence-free kernel regions SIMT-style, one numpy
+  operation over all launch lanes, and falls back to the compiled
+  closures per lane wherever a kernel diverges.
+* ``"compiled"`` — :class:`CompiledLaneRunner`, defined here. Per
+  *launch*: compile the kernel body once (cached per program + charge
+  profile, :func:`repro.minic.cache.compiled_kernel_body`), build the
+  GPU builtin table once, and precompute an *environment plan* — the
+  (slot, factory) list that materializes each lane's kernel variables
+  straight into the compiled body's frame. Per *lane*: reset a lean
+  facade, run the plan's factories, call the compiled closure. No
+  interpreter, no scope dicts, no table rebuilds.
 * ``"tree"`` — the original harness (one ``GpuInterpreter`` per lane,
   ``build_thread_env`` scope population), kept as the differential
-  reference; select it with ``REPRO_GPU_ENGINE=tree`` or
-  :func:`use_gpu_engine`.
+  reference.
 
-Both engines share the launch-level builtins defined here and charge
-every cost through the same :class:`~repro.gpu.charging.ChargeHook`, so
+Select one with ``REPRO_GPU_ENGINE``, :func:`use_gpu_engine`, or the
+``gpu_engine``/``engine`` argument of the job and task runners. All
+engines share the launch-level builtins defined here and charge every
+cost through the same :class:`~repro.gpu.charging.ChargeHook`, so
 outputs, ``ExecCounters``, and ``WarpCost``/``KernelCost`` are
-bit-identical by construction — and machine-checked by the four-engine
-fuzz oracle and ``tests/test_gpu_compile_backend.py``.
+bit-identical by construction — and machine-checked by the five-engine
+fuzz oracle, ``tests/test_gpu_compile_backend.py`` and
+``tests/test_gpu_vector_engine.py``.
 """
 
 from __future__ import annotations
@@ -63,18 +70,21 @@ _VOID_PTR = T.Pointer(T.VOID)
 # Engine selection
 # --------------------------------------------------------------------------
 
-#: Lane engines: "compiled" (per-launch compiled closures, the default
-#: hot path), "tree" (per-lane GpuInterpreter, the reference), and
-#: "vector" (numpy-vectorized warp execution of divergence-free regions,
-#: falling back to compiled closures per lane elsewhere).
+#: Lane engines: "compiled" (per-launch compiled closures), "tree"
+#: (per-lane GpuInterpreter, the reference), and "vector" (the default:
+#: numpy-vectorized warp execution of divergence-free regions, falling
+#: back to compiled closures per lane elsewhere).
 GPU_ENGINES = ("compiled", "tree", "vector")
 
-_default_engine = os.environ.get("REPRO_GPU_ENGINE", "compiled")
+_default_engine = os.environ.get("REPRO_GPU_ENGINE", "vector")
 
 
-def _check_engine(name: str) -> str:
+def _check_engine(name: str,
+                  error: type[Exception] = ValueError) -> str:
+    """``name`` if it is a lane engine, else raise ``error`` listing the
+    valid ones (runner constructors pass ``ConfigError``)."""
     if name not in GPU_ENGINES:
-        raise ValueError(
+        raise error(
             f"unknown GPU engine {name!r}; choose from {GPU_ENGINES}"
         )
     return name

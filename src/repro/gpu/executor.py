@@ -13,12 +13,14 @@ contiguous chunk of a sorted partition (``getKV``/``storeKV``), trading
 exact CPU-combiner equivalence for parallelism exactly as §4.2 sanctions —
 chunk-boundary keys yield partial aggregates that the reducer repairs.
 
-Lane bodies run on one of two engines (:mod:`repro.gpu.engine`): the
-default compiled engine calls a per-launch compiled closure per lane,
-while the ``"tree"`` engine keeps the original one-interpreter-per-lane
-harness as the differential reference. Both charge costs through the
-same :class:`~repro.gpu.charging.ChargeHook`; the warp/block/grid
-timing folds below are shared, so ``WarpCost``/``KernelCost`` are
+Lane bodies run on one of three engines (:mod:`repro.gpu.engine`): the
+default ``"vector"`` engine executes divergence-free regions over all
+launch lanes at once and falls back per lane to the ``"compiled"``
+engine, which calls a per-launch compiled closure per lane, while the
+``"tree"`` engine keeps the original one-interpreter-per-lane harness
+as the differential reference. All charge costs through the same
+:class:`~repro.gpu.charging.ChargeHook`; the warp/block/grid timing
+folds below are shared, so ``WarpCost``/``KernelCost`` are
 engine-independent by construction.
 """
 

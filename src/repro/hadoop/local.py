@@ -21,6 +21,7 @@ from ..costmodel.cpu import CpuTaskModel, CpuTaskTiming
 from ..costmodel.io import IoModel
 from ..errors import ConfigError, HadoopError
 from ..gpu.device import GpuDevice
+from ..gpu.engine import _check_engine
 from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
@@ -133,8 +134,10 @@ class LocalJobRunner:
         fileSplit size for input splitting (tests use small splits; the
         real 256 MB default would make functional runs needlessly slow).
     gpu_engine:
-        GPU lane engine name (``"compiled"``/``"tree"``/``"vector"``),
-        or None for the process default.
+        GPU lane engine name (``"vector"``/``"compiled"``/``"tree"``),
+        or None for the process default (``"vector"`` unless
+        ``REPRO_GPU_ENGINE`` says otherwise). An unknown name raises
+        :class:`ConfigError` here, on either path.
     workers:
         Worker processes for the map phase. None defers to the
         ``REPRO_WORKERS`` environment variable (default 1 = serial); 0
@@ -162,6 +165,8 @@ class LocalJobRunner:
             raise ConfigError(
                 f"num_reducers must be >= 0, got {num_reducers}"
             )
+        if gpu_engine is not None:
+            _check_engine(gpu_engine, ConfigError)
         self.app = app
         self.cluster = cluster
         self.use_gpu = use_gpu

@@ -18,8 +18,9 @@ from typing import Any
 
 from ..compiler import TranslationResult
 from ..config import OptimizationFlags
-from ..errors import GpuError, GpuOutOfMemory
+from ..errors import ConfigError, GpuError, GpuOutOfMemory
 from ..gpu.device import GpuDevice
+from ..gpu.engine import _check_engine
 from ..gpu.executor import (
     CombineLaunchResult,
     MapLaunchResult,
@@ -150,8 +151,11 @@ class GpuTaskRunner:
         Application working-set floor; allocation fails if the device is
         smaller (this is what excludes KM from Cluster2 in Fig. 4b).
     engine:
-        GPU lane engine name (``"compiled"``/``"tree"``), or None for the
-        process default (:func:`repro.gpu.engine.default_gpu_engine`).
+        GPU lane engine name (``"vector"``/``"compiled"``/``"tree"``), or
+        None for the process default
+        (:func:`repro.gpu.engine.default_gpu_engine`, ``"vector"`` unless
+        ``REPRO_GPU_ENGINE`` says otherwise). An unknown name raises
+        :class:`ConfigError` here rather than at the first launch.
     """
 
     def __init__(
@@ -170,6 +174,8 @@ class GpuTaskRunner:
         if combine_translation is not None and \
                 combine_translation.combine_kernel is None:
             raise GpuError("combine translation lacks a combiner kernel")
+        if engine is not None:
+            _check_engine(engine, ConfigError)
         self.map_tr = map_translation
         self.combine_tr = combine_translation
         self.device = device

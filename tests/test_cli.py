@@ -91,6 +91,22 @@ int main() {
         assert "gpu-task" in out
         assert "gpu.kernel_launches" in out
 
+    @pytest.mark.parametrize("engine", ["vector", "compiled"])
+    def test_stats_names_the_lane_engine(self, capsys, engine):
+        from repro.gpu import use_gpu_engine
+
+        with use_gpu_engine(engine):
+            assert main(["stats", "KM", "--records", "40",
+                         "--split-kb", "8"]) == 0
+        out = capsys.readouterr().out
+        assert f"gpu lane engine: {engine}" in out
+        # KM's mapper vectorizes; the compiled engine records no regions
+        assert ("gpu.vector.regions" in out) == (engine == "vector")
+
+    def test_stats_cpu_path_names_no_lane_engine(self, capsys):
+        assert main(["stats", "WC", "--records", "40", "--cpu-only"]) == 0
+        assert "gpu lane engine" not in capsys.readouterr().out
+
     def test_stats_simulate_mode(self, capsys):
         assert main(["stats", "WC", "--mode", "simulate",
                      "--policy", "tail", "--task-scale", "0.01"]) == 0

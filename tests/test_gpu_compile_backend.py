@@ -17,6 +17,8 @@ import pytest
 
 from repro.apps import all_apps, get_app
 from repro.config import CLUSTER1
+from repro.costmodel.io import IoModel
+from repro.errors import ConfigError
 from repro.fuzz import load_corpus, run_case
 from repro.gpu import (
     DEFAULT_CHARGE_HOOK,
@@ -35,6 +37,8 @@ from repro.gpu.executor import (
 from repro.hadoop.local import LocalJobRunner, parse_kv_line
 from repro.kvstore import GlobalKVStore, KVPair, Partitioner
 from repro.minic.interpreter import Interpreter, use_backend
+from repro.runtime.gpu_task import GpuTaskRunner
+from repro.scenarios import records_for
 
 APP_TAGS = [app.short for app in all_apps()]
 COMBINER_TAGS = [app.short for app in all_apps() if app.has_combiner]
@@ -44,18 +48,18 @@ COMBINER_TAGS = [app.short for app in all_apps() if app.has_combiner]
 
 
 class TestEngineSelection:
-    def test_compiled_is_the_default(self):
-        assert default_gpu_engine() == "compiled"
+    def test_vector_is_the_default(self):
+        assert default_gpu_engine() == "vector"
         assert GPU_ENGINES == ("compiled", "tree", "vector")
 
     def test_set_default_returns_previous(self):
         prev = set_default_gpu_engine("tree")
         try:
-            assert prev == "compiled"
+            assert prev == "vector"
             assert default_gpu_engine() == "tree"
         finally:
             set_default_gpu_engine(prev)
-        assert default_gpu_engine() == "compiled"
+        assert default_gpu_engine() == "vector"
 
     def test_context_manager_restores(self):
         with use_gpu_engine("tree"):
@@ -63,7 +67,7 @@ class TestEngineSelection:
             with use_gpu_engine("compiled"):
                 assert default_gpu_engine() == "compiled"
             assert default_gpu_engine() == "tree"
-        assert default_gpu_engine() == "compiled"
+        assert default_gpu_engine() == "vector"
 
     @pytest.mark.parametrize("bad", ["interp", "TREE", ""])
     def test_unknown_engine_rejected(self, bad):
@@ -72,6 +76,27 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown GPU engine"):
             with use_gpu_engine(bad):
                 pass  # pragma: no cover
+
+    @pytest.mark.parametrize("use_gpu", [True, False], ids=["gpu", "cpu"])
+    def test_job_runner_rejects_unknown_engine_at_construction(self,
+                                                                use_gpu):
+        # The CPU path never launches a kernel, so only the constructor
+        # can catch a misspelt engine there.
+        with pytest.raises(ConfigError, match="unknown GPU engine") as exc:
+            LocalJobRunner(get_app("WC"), use_gpu=use_gpu,
+                           gpu_engine="vectr")
+        for name in GPU_ENGINES:
+            assert name in str(exc.value)
+
+    def test_task_runner_rejects_unknown_engine_at_construction(self):
+        app = get_app("WC")
+        with pytest.raises(ConfigError, match="unknown GPU engine") as exc:
+            GpuTaskRunner(app.translate_map(), app.translate_combine(),
+                          GpuDevice(CLUSTER1.gpu),
+                          IoModel.for_cluster(CLUSTER1), num_reducers=2,
+                          engine="vectr")
+        for name in GPU_ENGINES:
+            assert name in str(exc.value)
 
     def test_default_charge_hook_is_calibrated_profile(self):
         assert isinstance(DEFAULT_CHARGE_HOOK, SpaceChargeHook)
@@ -120,6 +145,31 @@ class TestAllAppsEngineParity:
                                   gpu_engine="tree").run(text)
         by_default = _gpu_job(app, text, "tree", "compiled")
         _assert_launches_identical(tag, by_default, by_kwarg)
+
+
+class TestDefaultEngineMatchesCompiled:
+    """A job that names no engine (the ``vector`` default) is
+    indistinguishable from one pinned to ``compiled``. Two workers route
+    the job through the pooled spec, whose engine the parent resolves
+    before shipping."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+    @pytest.mark.parametrize("tag", APP_TAGS)
+    def test_default_job_matches_explicit_compiled(self, tag, workers):
+        app = get_app(tag)
+        text = app.generate(records_for(tag, "small"), seed=7)
+        split_bytes = max(256, len(text.encode()) // 4)
+
+        def job(engine):
+            return LocalJobRunner(app, use_gpu=True, split_bytes=split_bytes,
+                                  gpu_engine=engine, workers=workers).run(text)
+
+        compiled = job("compiled")
+        assert compiled.map_tasks >= 2, "need fan-out to exercise the pool"
+        default = job(None)
+        _assert_launches_identical(tag, compiled, default)
+        assert list(default.output.items()) == list(compiled.output.items())
+        assert default.map_output_pairs == compiled.map_output_pairs
 
 
 # -- standalone combine kernels ---------------------------------------------
