@@ -416,7 +416,7 @@ def bench_reduce_app(short: str, records: int | None = None,
     byte-identical output and task timings at every worker count, with
     the reduce critical path shrinking as workers grow.
     """
-    from .hadoop.local import LocalJobResult, LocalJobRunner
+    from .hadoop.local import LocalJobRunner
     from .hadoop.shuffle import merge_sorted_runs, sort_kv_run
 
     app = get_app(short)
@@ -432,9 +432,8 @@ def bench_reduce_app(short: str, records: int | None = None,
     # Map phase once, off the clock — every timed round re-consumes the
     # same shuffle input the real reduce phase would see.
     shuffle: dict[int, list[list]] = {}
-    scratch = LocalJobResult()
-    for a, b in runner.split_ranges(data):
-        parts = runner._run_cpu_map_task(data[a:b], scratch)
+    for i, (a, b) in enumerate(runner.split_ranges(data)):
+        parts, _timing, _pairs = runner._run_cpu_map_task(data[a:b], i)
         for part, run in parts.items():
             shuffle.setdefault(part, []).append(run)
     runs_per_part = [shuffle[part] for part in sorted(shuffle)]

@@ -25,11 +25,13 @@ from ..gpu.engine import _check_engine
 from ..kvstore import Partitioner
 from ..kvstore.coerce import kv_line, parse_kv_line, utf8_len
 from ..obs import trace as obs
+from ..parallel.maptask import run_map_tasks
 from ..parallel.pool import (
+    check_workers,
     list_schedule_makespan,
-    resolve_reduce_workers,
     resolve_workers,
 )
+from ..parallel.reducetask import run_reduce_tasks
 from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
 from .shuffle import (
     ReduceTaskTiming,
@@ -37,15 +39,9 @@ from .shuffle import (
     merge_sorted_runs,
     reduce_task_timing,
     sort_kv_run,
-    streaming_sort_key,
 )
 
 __all__ = ["LocalJobResult", "LocalJobRunner", "parse_kv_line"]
-
-# Backwards-compatible alias; the shared definition (and the
-# decorate-sort that avoids calling it O(n log n) times) lives in
-# hadoop.shuffle.
-_sort_key = streaming_sort_key
 
 
 @dataclass
@@ -58,9 +54,9 @@ class LocalJobResult:
     cpu_task_timings: list[CpuTaskTiming] = field(default_factory=list)
     map_output_pairs: int = 0
     shuffle_bytes: int = 0
-    #: Worker processes the map phase ran on (1 = serial).
+    #: Worker processes the map phase ran on (1 = in-process).
     workers: int = 1
-    #: Worker processes the reduce phase ran on (1 = serial).
+    #: Worker processes the reduce phase ran on (1 = in-process).
     reduce_workers: int = 1
     #: Per-reduce-task timings in partition order (empty for map-only
     #: jobs, whose output is written by the map tasks themselves).
@@ -139,11 +135,12 @@ class LocalJobRunner:
         ``REPRO_GPU_ENGINE`` says otherwise). An unknown name raises
         :class:`ConfigError` here, on either path.
     workers:
-        Worker processes for the map phase. None defers to the
-        ``REPRO_WORKERS`` environment variable (default 1 = serial); 0
-        means one worker per CPU core. Parallel runs produce
-        byte-identical output, counters, and simulated seconds — see
-        :mod:`repro.parallel`.
+        Worker processes for the map and reduce phases, each capped by
+        its task count. None defers to the ``REPRO_WORKERS`` environment
+        variable (default 1 = in-process); 0 means one worker per CPU
+        core; a negative count raises :class:`ConfigError` here. Every
+        worker count produces byte-identical output, counters, and
+        simulated seconds — see :mod:`repro.parallel`.
     """
 
     def __init__(
@@ -167,6 +164,8 @@ class LocalJobRunner:
             )
         if gpu_engine is not None:
             _check_engine(gpu_engine, ConfigError)
+        if workers is not None:
+            check_workers(workers)
         self.app = app
         self.cluster = cluster
         self.use_gpu = use_gpu
@@ -195,8 +194,8 @@ class LocalJobRunner:
     def split_ranges(self, data: bytes) -> list[tuple[int, int]]:
         """Split boundaries as ``(start, stop)`` byte ranges at
         ~split_bytes, never inside a record (LineRecordReader's
-        behaviour). Ranges — not copies — are what the parallel path
-        ships to workers; the serial loop slices them locally."""
+        behaviour). Ranges — not copies — are what the pooled path
+        ships to workers; the in-process path slices them locally."""
         ranges: list[tuple[int, int]] = []
         start = 0
         while start < len(data):
@@ -215,14 +214,14 @@ class LocalJobRunner:
 
     # -- map side ------------------------------------------------------------------
 
-    def _make_gpu_runner(self, device: GpuDevice) -> GpuTaskRunner:
+    def _make_gpu_runner(self) -> GpuTaskRunner:
         """One GpuTaskRunner per job: translations are resolved once
         (memoized — see translate_cached) and the host snapshots the
         runner computes are reused by every map task."""
         return GpuTaskRunner(
             self.app.translate_map(self.opt),
             self.app.translate_combine(self.opt),
-            device,
+            GpuDevice(self.cluster.gpu),
             self.io,
             num_reducers=self.num_reducers,
             replication=self.cluster.hdfs_replication,
@@ -237,22 +236,14 @@ class LocalJobRunner:
     # for shuffle/output byte accounting, as reducer stdin, and by the
     # reduce merge (which never recomputes keys or re-encodes).
 
-    def _run_gpu_map_task(
-        self, split: bytes, runner: GpuTaskRunner, result: LocalJobResult
-    ) -> dict[int, list]:
-        task = runner.run(split)
-        result.gpu_task_results.append(task)
-        result.map_output_pairs += task.emitted_pairs
-        return task.rendered_runs()
-
     def _run_cpu_map_task(
-        self, split: bytes, result: LocalJobResult,
-        task_index: int | None = None,
-    ) -> dict[int, list]:
+        self, split: bytes, task_index: int,
+    ) -> tuple[dict[int, list], CpuTaskTiming, int]:
+        """One Streaming map task: its partition → decorated-run
+        mapping, its timing, and its map output pair count."""
         text = split.decode("utf-8", errors="replace")
         map_out, map_counters = self.app.cpu_map(text)
         pairs = [parse_kv_line(ln) for ln in map_out.splitlines() if ln]
-        result.map_output_pairs += len(pairs)
 
         # Partition, sort each partition, then run the combiner filter.
         parts: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
@@ -295,43 +286,23 @@ class LocalJobRunner:
             map_only=self.app.map_only,
             replication=self.cluster.hdfs_replication,
         )
-        result.cpu_task_timings.append(timing)
-
         rec = obs.active()
         if rec.enabled:
-            self._record_cpu_task_trace(rec, timing, len(split), len(pairs),
-                                        task_index)
-        return combined
-
-    def _record_cpu_task_trace(self, rec: obs.TraceRecorder,
-                               timing: CpuTaskTiming, split_bytes: int,
-                               map_pairs: int,
-                               task_index: int | None = None) -> None:
-        """One CPU task span tiled by its Fig. 6-style phase children.
-
-        ``task_index`` defaults to this process's running task count;
-        pool workers pass the job-wide index so spliced traces number
-        tasks as the serial run would.
-        """
-        pid, tid = "cpu-streaming", "tasks"
-        index = task_index if task_index is not None \
-            else int(rec.metrics.count("cpu.tasks"))
-        task = rec.begin(
-            f"cpu-task#{index} {self.app.name}", "cpu-task", pid, tid,
-            args={"split_bytes": split_bytes, "map_pairs": map_pairs},
-        )
-        phases = {
-            "input_read": timing.input_read,
-            "map": timing.map,
-            "sort": timing.sort,
-            "combine": timing.combine,
-            "output_write": timing.output_write,
-        }
-        for phase, seconds in phases.items():
-            rec.complete(phase, "phase", pid, tid, seconds)
-        rec.end(task)
-        rec.inc("cpu.tasks")
-        rec.inc("cpu.map_pairs", map_pairs)
+            # One task span tiled by its Fig. 6-style phase children.
+            rec.record_task(
+                f"cpu-task#{task_index} {self.app.name}", "cpu-task",
+                "cpu-streaming",
+                args={"split_bytes": len(split), "map_pairs": len(pairs)},
+                phases={
+                    "input_read": timing.input_read,
+                    "map": timing.map,
+                    "sort": timing.sort,
+                    "combine": timing.combine,
+                    "output_write": timing.output_write,
+                },
+                counters={"cpu.tasks": 1, "cpu.map_pairs": len(pairs)},
+            )
+        return combined, timing, len(pairs)
 
     # -- reduce side ---------------------------------------------------------------
 
@@ -343,10 +314,9 @@ class LocalJobRunner:
         else the Python one. Returns the reduced pairs plus the task's
         deterministic simulated timing.
 
-        Pure with respect to the job: pool workers call this through
-        :mod:`repro.parallel.reducetask` and the driver folds the
-        returned pairs in partition order, so serial and pooled reduce
-        phases are byte-identical.
+        Pure with respect to the job: the driver folds the returned
+        pairs in partition order (see :mod:`repro.parallel.reducetask`),
+        so the reduce phase is byte-identical at every worker count.
         """
         merged = merge_sorted_runs(runs)
         input_pairs = len(merged)
@@ -383,8 +353,8 @@ class LocalJobRunner:
                       reduced: list) -> None:
         """Fold one partition's reduce output into the job output dict
         — always in the driver, always in partition order, so the
-        insertion order and the duplicate-key check are identical under
-        serial and pooled reduce phases."""
+        insertion order and the duplicate-key check are identical at
+        every worker count."""
         for out_k, out_v in reduced:
             if out_k in output:
                 raise HadoopError(
@@ -423,52 +393,38 @@ class LocalJobRunner:
         # as per-task *runs* (streaming-sorted by the map task, with
         # one-time renderings and sort keys — see the map task helpers)
         # so the reduce side can k-way merge instead of re-sorting.
+        # Envelopes arrive in task-index order at every worker count,
+        # so this fold replays the same accumulation order bit for bit.
         shuffle: dict[int, list[list]] = defaultdict(list)
-        if nworkers > 1:
-            parts_per_task = self._run_map_phase_parallel(
-                data, ranges, nworkers, result, rec
-            )
-        else:
-            device = GpuDevice(self.cluster.gpu) if self.use_gpu else None
-            gpu_runner = self._make_gpu_runner(device) if self.use_gpu \
-                else None
-            parts_per_task = (
-                self._run_gpu_map_task(data[a:b], gpu_runner, result)
-                if self.use_gpu
-                else self._run_cpu_map_task(data[a:b], result)
-                for a, b in ranges
-            )
-        for parts in parts_per_task:
+        timings = result.gpu_task_results if self.use_gpu \
+            else result.cpu_task_timings
+        for envelope in run_map_tasks(self, data, ranges, nworkers):
+            parts, timing, pairs = envelope.value
+            timings.append(timing)
+            result.map_output_pairs += pairs
             for part, run in parts.items():
                 shuffle[part].append(run)
                 result.shuffle_bytes += sum(utf8_len(e[1][2]) for e in run)
+            envelope.splice(rec)
 
-        # Reduce phase: one reduce task per partition, serial in the
-        # driver or fanned across the daemon pool; either way the
-        # reduced pairs fold into the output dict in partition order.
+        # Reduce phase: one reduce task per partition; the reduced
+        # pairs fold into the output dict in partition order.
         reduce_parts = sorted(shuffle)
-        reduce_workers = resolve_reduce_workers(
-            self.workers, tasks=len(reduce_parts)
-        )
+        reduce_workers = resolve_workers(self.workers,
+                                         tasks=len(reduce_parts))
         result.reduce_workers = reduce_workers
         # Map-only jobs (num_reducers == 0) write output at the map
         # tasks; their identity fold through this phase is free, like
         # estimate_reduce_phase's zero-cost map-only answer.
         charge_reduce = self.num_reducers > 0
         output: dict[Any, Any] = {}
-        if reduce_workers > 1:
-            reduced_per_part = self._run_reduce_phase_parallel(
-                reduce_parts, shuffle, reduce_workers, result, rec,
-                charge_reduce,
-            )
-            for part, reduced in zip(reduce_parts, reduced_per_part):
-                self._fold_reduced(output, part, reduced)
-        else:
-            for part in reduce_parts:
-                reduced, timing = self.reduce_partition(part, shuffle[part])
-                if charge_reduce:
-                    result.reduce_task_timings.append(timing)
-                self._fold_reduced(output, part, reduced)
+        for envelope in run_reduce_tasks(self, reduce_parts, shuffle,
+                                         reduce_workers):
+            reduced, timing = envelope.value
+            if charge_reduce:
+                result.reduce_task_timings.append(timing)
+            self._fold_reduced(output, timing.partition, reduced)
+            envelope.splice(rec)
         result.output = output
 
         if rec.enabled and job_span is not None:
@@ -497,67 +453,3 @@ class LocalJobRunner:
                 end_args["reduce_tasks"] = len(reduce_parts)
             rec.end(job_span, ts=end_ts, args=end_args)
         return result
-
-    def _run_map_phase_parallel(self, data: bytes,
-                                ranges: list[tuple[int, int]],
-                                nworkers: int, result: LocalJobResult,
-                                rec: Any) -> list[dict]:
-        """Fan the map phase across the daemon pool and fold the
-        envelopes exactly as the serial loop would have.
-
-        Envelopes arrive in task-index order (the pool reassembles its
-        batches that way), so every accumulation below — task-result
-        lists, pair counts, float timing sums, shuffle extension order —
-        replays the serial fold and the job result is byte-identical to
-        ``workers=1``.
-        """
-        from ..parallel.maptask import run_map_tasks
-
-        envelopes = run_map_tasks(self, data, ranges, nworkers)
-        parts_per_task: list[dict] = []
-        for envelope in envelopes:
-            if envelope.gpu_result is not None:
-                task = envelope.gpu_result
-                result.gpu_task_results.append(task)
-                result.map_output_pairs += task.emitted_pairs
-            else:
-                assert envelope.cpu_timing is not None
-                result.cpu_task_timings.append(envelope.cpu_timing)
-                result.map_output_pairs += envelope.map_pairs
-            # Both paths ship ready-to-merge rendered runs: the worker
-            # already sorted, decorated, and encoded every pair (the
-            # driver used to re-encode the GPU path's pairs here).
-            parts_per_task.append(envelope.parts or {})
-            if rec.enabled and envelope.events is not None:
-                rec.splice(envelope.events,
-                           pid_suffix=f"@w{envelope.worker_pid}")
-                if envelope.metrics is not None:
-                    rec.metrics.merge(envelope.metrics)
-        return parts_per_task
-
-    def _run_reduce_phase_parallel(self, parts: list[int],
-                                   shuffle: dict[int, list[list]],
-                                   nworkers: int, result: LocalJobResult,
-                                   rec: Any, charge_reduce: bool) -> list[list]:
-        """Fan the reduce phase across the daemon pool.
-
-        Envelopes arrive in partition order (the pool reassembles by
-        submission index), so timing accumulation and the driver-side
-        output fold replay the serial loop exactly — reduce tasks are
-        pure, and the duplicate-key check still fires in the driver at
-        the same fold step it would serially.
-        """
-        from ..parallel.reducetask import run_reduce_tasks
-
-        envelopes = run_reduce_tasks(self, parts, shuffle, nworkers)
-        reduced_per_part: list[list] = []
-        for envelope in envelopes:
-            if charge_reduce:
-                result.reduce_task_timings.append(envelope.timing)
-            reduced_per_part.append(envelope.reduced)
-            if rec.enabled and envelope.events is not None:
-                rec.splice(envelope.events,
-                           pid_suffix=f"@w{envelope.worker_pid}")
-                if envelope.metrics is not None:
-                    rec.metrics.merge(envelope.metrics)
-        return reduced_per_part

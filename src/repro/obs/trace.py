@@ -241,6 +241,19 @@ class TraceRecorder:
         self._advance(key, ts + dur)
         return span
 
+    def record_task(self, name: str, cat: str, pid: str,
+                    args: dict[str, Any], phases: dict[str, float],
+                    counters: dict[str, float]) -> None:
+        """One task span on ``pid``'s ``tasks`` lane, tiled by a
+        ``phase`` child per entry of ``phases`` (so the phases sum to
+        the task's duration), then the task's counters."""
+        task = self.begin(name, cat, pid, "tasks", args=args)
+        for phase, seconds in phases.items():
+            self.complete(phase, "phase", pid, "tasks", seconds)
+        self.end(task)
+        for counter, n in counters.items():
+            self.inc(counter, n)
+
     # -- instants / counters -------------------------------------------------
 
     def instant(self, name: str, cat: str, pid: str, tid: str,

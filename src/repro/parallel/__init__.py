@@ -1,20 +1,19 @@
-"""Multi-core map-task execution (paper §5's one-slot-per-core model).
+"""Multi-core task execution (paper §5's one-slot-per-core model).
 
 HeteroDoop's TaskTrackers run one map task per CPU core concurrently
 (plus the reserved GPU slot); this package gives the functional runner
-the same property. The persistent daemon pool
-(:mod:`repro.parallel.daemon`) forks workers once per process lifetime
-and fans map tasks, reduce tasks, GPU splits, and fuzz cases across
-them in batched envelopes, with input bytes published through a
+the same property with one task executor (:mod:`repro.parallel.maptask`
+for map tasks, :mod:`repro.parallel.reducetask` for reduce tasks).
+Every phase takes the same spec → task → envelope path: at one worker
+the task functions run in-process on the parent's live runner, and above
+one worker the persistent daemon pool (:mod:`repro.parallel.daemon`)
+fans them across worker processes forked once per process lifetime, in
+batched envelopes, with each phase's input published through a
 write-once arena (:mod:`repro.parallel.arena`) instead of per-task
-pickles. The job-level plumbing (:mod:`repro.parallel.maptask` for the
-map phase, :mod:`repro.parallel.reducetask` for the shuffle-merge/
-reduce tail) keeps the parallel run **byte-identical** to the serial
-one — same output, same counters, same simulated seconds — by
-rebuilding caches per worker and merging results in task/partition
-order. :mod:`repro.parallel.pool` retains the
-one-shot SerialPool/ProcessPool primitives and the shared worker-count
-resolution.
+pickles. Envelopes come back in task order and the driver folds them
+with one loop per phase, so every worker count is **byte-identical** —
+same output, same counters, same simulated seconds.
+:mod:`repro.parallel.pool` resolves worker counts.
 """
 
 from .daemon import (
@@ -27,28 +26,20 @@ from .daemon import (
     shutdown_pool,
 )
 from .pool import (
-    ProcessPool,
-    SerialPool,
     in_worker,
     list_schedule_makespan,
-    resolve_reduce_workers,
     resolve_workers,
-    task_pool,
 )
 
 __all__ = [
     "DaemonPool",
     "PoolStatus",
-    "ProcessPool",
-    "SerialPool",
     "WorkerCrashError",
     "get_pool",
     "in_worker",
     "list_schedule_makespan",
     "pool_metrics",
     "resolve_batch_size",
-    "resolve_reduce_workers",
     "resolve_workers",
     "shutdown_pool",
-    "task_pool",
 ]

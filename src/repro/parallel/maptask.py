@@ -1,63 +1,64 @@
-"""Map tasks as pool work items: job specs, warmup, and envelopes.
+"""The task executor: map and reduce tasks at every worker count.
 
-A worker cannot be handed a live :class:`~repro.hadoop.local.
-LocalJobRunner` or :class:`~repro.runtime.gpu_task.GpuTaskRunner` —
-their hot state (compiled mini-C closures, kernel bodies, host
-snapshots) is closure-based and does not pickle. What crosses the
-process boundary instead:
+A job phase is a list of independent tasks, and both phases take the
+same path — spec → task → envelope — through :func:`run_map_tasks`
+here and :func:`~repro.parallel.reducetask.run_reduce_tasks`:
 
-* down, once per job: a frozen *job spec* carrying only sources and
-  plain-dataclass configuration, plus the input arena's token
-  (:mod:`repro.parallel.arena` — the split bytes are published once and
-  never pickled per task). The per-worker job setup rebuilds the runner
-  from the spec and **warms** the program/translation/kernel caches.
-  With the persistent daemon pool the warmup is paid once per worker
-  *process lifetime* per program, not once per job — a warm worker's
-  setup is a string of cache hits.
-* down, per batch: ``(task_index, start, stop)`` range triples, several
-  per IPC round-trip (:func:`~repro.parallel.daemon.resolve_batch_size`).
-* up, per batch: compact :class:`MapTaskEnvelope` results — partitioned
-  triples or the :class:`GpuTaskResult`, the timing dataclass, and
-  (when the parent traces) the worker recorder's events and metrics.
+* **One worker** runs in-process: the task function is called directly
+  with the parent's live runner and active trace recorder. No arena, no
+  pickling, no pool.
+* **Above one worker** the tasks fan out over the daemon pool. A worker
+  cannot be handed a live :class:`~repro.hadoop.local.LocalJobRunner`
+  (compiled mini-C closures and kernel bodies do not pickle), so what
+  crosses the process boundary instead is:
 
-The parent consumes envelopes **in task-index order** (the daemon pool
-reassembles batches by index) and folds them exactly as the serial loop
-would have, which is what makes ``workers=N`` byte-identical to serial.
+  - down, once per job: a frozen :class:`JobSpec` carrying only sources
+    and plain configuration, plus the token of a
+    :class:`~repro.parallel.arena.SplitArena` holding the phase's input.
+    :func:`_init_worker` rebuilds the runner from the spec and warms the
+    program/translation/kernel caches — a string of cache hits in a warm
+    daemon worker;
+  - down, per batch: ``(index, start, stop)`` triples naming each task's
+    slice of the arena;
+  - up, per batch: :class:`TaskEnvelope` results — the task function's
+    return value plus, when the parent traces, the events and metrics
+    of the task's own recorder (:func:`_captured`).
+
+Either way the envelopes come back in task order and
+:meth:`LocalJobRunner.run <repro.hadoop.local.LocalJobRunner.run>`
+folds them with one loop per phase, which is what makes every worker
+count byte-identical.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from ..apps.base import Application
-from ..config import ClusterConfig, GpuSpec, OptimizationFlags
-from ..costmodel.cpu import CpuTaskTiming
-from ..costmodel.io import IoModel
+from ..config import ClusterConfig, OptimizationFlags
 from ..errors import ReproError
 from ..obs import trace as obs
 from .arena import SplitArena, attach_view
 from .daemon import get_pool
-from .pool import resolve_workers
 
 if TYPE_CHECKING:  # runtime import would be circular (local.py uses us)
     from ..hadoop.local import LocalJobRunner
-    from ..runtime.gpu_task import GpuTaskResult, GpuTaskRunner
+    from ..runtime.gpu_task import GpuTaskRunner
 
 __all__ = [
-    "GpuJobSpec",
-    "MapJobSpec",
-    "MapTaskEnvelope",
-    "run_gpu_tasks",
+    "JobSpec",
+    "TaskEnvelope",
+    "fan_out",
     "run_map_tasks",
     "warm_worker_caches",
 ]
 
 
 @dataclass(frozen=True)
-class MapJobSpec:
-    """Everything a worker needs to rebuild one job's map-side runner."""
+class JobSpec:
+    """Everything a worker needs to rebuild one job's runner."""
 
     app: Application
     cluster: ClusterConfig
@@ -71,54 +72,27 @@ class MapJobSpec:
 
 
 @dataclass
-class MapTaskEnvelope:
-    """One map task's result, shipped worker → parent.
+class TaskEnvelope:
+    """One task's result: the task function's return value, plus — from
+    a traced pool worker — its recorder's events and metrics."""
 
-    ``parts`` carries the partition → decorated-run mapping on *both*
-    paths: streaming-sorted ``(sort_key, (key, value, line))`` entries,
-    rendered and decorated in the worker so the driver's fold never
-    re-encodes a pair. The GPU path additionally ships its
-    :class:`GpuTaskResult` for the timing/Fig. 6 bookkeeping.
-    """
-
-    index: int
-    worker_pid: int
-    map_pairs: int
-    parts: dict[int, list] | None = None
-    cpu_timing: CpuTaskTiming | None = None
-    gpu_result: "GpuTaskResult | None" = None
+    value: Any
     events: list | None = None
     metrics: Any | None = None
+    worker_pid: int = 0
+
+    def splice(self, rec: obs.NullRecorder | obs.TraceRecorder) -> None:
+        """Graft a pooled task's events onto the parent's trace, on
+        ``<track>@w<pid>`` tracks."""
+        if self.events is not None:
+            rec.splice(self.events, pid_suffix=f"@w{self.worker_pid}")
+            rec.metrics.merge(self.metrics)
 
 
-@dataclass(frozen=True)
-class GpuJobSpec:
-    """Rebuild recipe for a standalone :class:`GpuTaskRunner`.
-
-    Ships program *sources* plus the exact translation key (opt flags,
-    map_only) so the worker's ``translate_cached`` resolves to the same
-    artifact the parent holds — a cache hit in a warm daemon worker, a
-    fresh but identical build in a cold one.
-    """
-
-    map_source: str
-    combine_source: str | None
-    opt: OptimizationFlags
-    map_only: bool
-    gpu: GpuSpec
-    io: IoModel
-    num_reducers: int
-    replication: int
-    min_gpu_mem: int
-    engine: str
-    trace: bool
-
-
-# Worker-global runner state, rebuilt by the job setup once per worker
-# per job. Module-level (not closure-captured) because pool task
-# functions must be importable top-level callables.
-_map_state: dict[str, Any] = {}
-_gpu_state: dict[str, Any] = {}
+# Worker-global job state, rebuilt by the job setup once per worker per
+# job. Module-level (not closure-captured) because pool task functions
+# must be importable top-level callables.
+_state: dict[str, Any] = {}
 
 
 def _warm_app(app: Application, opt: OptimizationFlags,
@@ -126,15 +100,10 @@ def _warm_app(app: Application, opt: OptimizationFlags,
     """Populate this process's mini-C caches for one application."""
     from ..minic.cache import warm_program
 
-    warm_program(app.map_program())
-    combine = app.combine_program()
-    if combine is not None:
-        warm_program(combine)
-    reduce_prog = app.reduce_program()
-    if reduce_prog is not None:
-        # Workers never reduce, but warming is cheap and keeps the
-        # worker's cache state a superset of what any task touches.
-        warm_program(reduce_prog)
+    for program in (app.map_program(), app.combine_program(),
+                    app.reduce_program()):
+        if program is not None:
+            warm_program(program)
     if use_gpu:
         app.translate_map(opt)
         app.translate_combine(opt)
@@ -144,15 +113,14 @@ def warm_worker_caches(tags: tuple[str, ...]) -> None:
     """``repro pool warm``'s broadcast target: prime the mini-C and
     translation caches for the named apps in this worker."""
     from ..apps import get_app
-    from ..config import OptimizationFlags
 
     opt = OptimizationFlags.all_on()
     for tag in tags:
         _warm_app(get_app(tag), opt, use_gpu=True)
 
 
-def _init_map_worker(spec: MapJobSpec, arena_token: tuple) -> None:
-    from ..gpu.device import GpuDevice
+def _init_worker(spec: JobSpec, arena_token: tuple) -> None:
+    """The per-worker job setup shared by both phases."""
     from ..hadoop.local import LocalJobRunner
     from ..minic.interpreter import set_default_backend
 
@@ -170,68 +138,43 @@ def _init_map_worker(spec: MapJobSpec, arena_token: tuple) -> None:
     )
     gpu_runner = None
     if spec.use_gpu:
-        gpu_runner = runner._make_gpu_runner(GpuDevice(spec.cluster.gpu))
+        gpu_runner = runner._make_gpu_runner()
         gpu_runner.map_snapshot()
         if gpu_runner.combine_tr is not None:
             gpu_runner.combine_snapshot()
-    _map_state["spec"] = spec
-    _map_state["runner"] = runner
-    _map_state["gpu_runner"] = gpu_runner
-    _map_state["view"] = attach_view(arena_token)
+    _state["runner"] = runner
+    _state["gpu_runner"] = gpu_runner
+    _state["trace"] = spec.trace
+    _state["view"] = attach_view(arena_token)
 
 
-def _run_map_task(payload: tuple[int, int, int]) -> MapTaskEnvelope:
-    from ..hadoop.local import LocalJobResult
-
-    index, start, stop = payload
-    spec: MapJobSpec = _map_state["spec"]
-    runner: "LocalJobRunner" = _map_state["runner"]
-    split = bytes(_map_state["view"][start:stop])
-    rec = obs.TraceRecorder() if spec.trace else None
-    previous = obs.install(rec) if rec is not None else None
-    try:
-        scratch = LocalJobResult()
-        if spec.use_gpu:
-            gpu_runner: "GpuTaskRunner" = _map_state["gpu_runner"]
-            task = gpu_runner.run(split, task_index=index)
-            envelope = MapTaskEnvelope(
-                index=index, worker_pid=os.getpid(),
-                map_pairs=task.emitted_pairs, gpu_result=task,
-                parts=task.rendered_runs(),
-            )
-        else:
-            parts = runner._run_cpu_map_task(split, scratch,
-                                             task_index=index)
-            envelope = MapTaskEnvelope(
-                index=index, worker_pid=os.getpid(),
-                map_pairs=scratch.map_output_pairs, parts=parts,
-                cpu_timing=scratch.cpu_task_timings[0],
-            )
-    finally:
-        if rec is not None:
-            obs.install(previous)
-    if rec is not None:
-        if rec.open_spans():
-            raise ReproError("map task left spans open in worker recorder")
-        envelope.events = rec.events
-        envelope.metrics = rec.metrics
-    return envelope
+def _captured(fn: Callable[..., Any], *args: Any) -> TaskEnvelope:
+    """Run one task in a pool worker. When the parent traces, the task
+    records into a fresh recorder whose events and metrics ride home in
+    the envelope (a forked worker must not write to the parent's)."""
+    if not _state["trace"]:
+        return TaskEnvelope(fn(*args))
+    rec = obs.TraceRecorder()
+    with obs.use_recorder(rec):
+        value = fn(*args)
+    if rec.open_spans():
+        raise ReproError("task left spans open in worker recorder")
+    return TaskEnvelope(value, rec.events, rec.metrics, os.getpid())
 
 
-def run_map_tasks(runner: "LocalJobRunner", data: bytes,
-                  ranges: list[tuple[int, int]],
-                  workers: int) -> list[MapTaskEnvelope]:
-    """Fan a job's split ranges across the daemon pool; envelopes come
-    back in task-index order. ``data`` is published once through a
-    :class:`~repro.parallel.arena.SplitArena`; only range triples and
-    result envelopes are pickled."""
+def fan_out(runner: "LocalJobRunner", use_gpu: bool,
+            task_fn: Callable[[Any], TaskEnvelope], payloads: list,
+            blob: bytes, workers: int) -> list[TaskEnvelope]:
+    """Run ``payloads`` through ``task_fn`` on the daemon pool, with
+    ``blob`` published once through a :class:`SplitArena`; envelopes
+    come back in payload order."""
     from ..gpu.engine import default_gpu_engine
     from ..minic.interpreter import default_backend
 
-    spec = MapJobSpec(
+    spec = JobSpec(
         app=runner.app,
         cluster=runner.cluster,
-        use_gpu=runner.use_gpu,
+        use_gpu=use_gpu,
         opt=runner.opt,
         num_reducers=runner.num_reducers,
         split_bytes=runner.split_bytes,
@@ -239,100 +182,40 @@ def run_map_tasks(runner: "LocalJobRunner", data: bytes,
         minic_backend=default_backend(),
         trace=bool(obs.active().enabled),
     )
+    with SplitArena(blob) as arena:
+        return get_pool().run_job(
+            workers, task_fn, payloads,
+            init_fn=_init_worker, init_args=(spec, arena.token),
+        )
+
+
+def _map_task(runner: "LocalJobRunner", gpu_runner: "GpuTaskRunner | None",
+              index: int, split: bytes) -> tuple[dict[int, list], Any, int]:
+    """One map task: its partition → decorated-run mapping, its timing
+    (the :class:`GpuTaskResult` on the GPU path, the
+    :class:`CpuTaskTiming` on the CPU path) and its map output pairs."""
+    if gpu_runner is None:
+        return runner._run_cpu_map_task(split, index)
+    task = gpu_runner.run(split, task_index=index)
+    return task.rendered_runs(), task, task.emitted_pairs
+
+
+def _run_map_task(payload: tuple[int, int, int]) -> TaskEnvelope:
+    index, start, stop = payload
+    split = bytes(_state["view"][start:stop])
+    return _captured(_map_task, _state["runner"], _state["gpu_runner"],
+                     index, split)
+
+
+def run_map_tasks(runner: "LocalJobRunner", data: bytes,
+                  ranges: list[tuple[int, int]],
+                  workers: int) -> list[TaskEnvelope]:
+    """Run a job's map tasks, one per split range; envelopes in
+    task-index order."""
+    if workers <= 1:
+        gpu_runner = runner._make_gpu_runner() if runner.use_gpu else None
+        return [TaskEnvelope(_map_task(runner, gpu_runner, i, data[a:b]))
+                for i, (a, b) in enumerate(ranges)]
     payloads = [(i, start, stop) for i, (start, stop) in enumerate(ranges)]
-    with SplitArena(data) as arena:
-        return get_pool().run_job(
-            workers, _run_map_task, payloads,
-            init_fn=_init_map_worker, init_args=(spec, arena.token),
-        )
-
-
-# -- standalone GpuTaskRunner fan-out ---------------------------------------
-
-
-def _init_gpu_worker(spec: GpuJobSpec, arena_token: tuple) -> None:
-    from ..compiler import translate_cached
-    from ..gpu.device import GpuDevice
-    from ..minic.cache import warm_program
-    from ..runtime.gpu_task import GpuTaskRunner
-    from ..apps.base import _parse_cached
-
-    map_program = _parse_cached(spec.map_source)
-    warm_program(map_program)
-    map_tr = translate_cached(map_program, opt=spec.opt,
-                              map_only=spec.map_only)
-    combine_tr = None
-    if spec.combine_source is not None:
-        combine_program = _parse_cached(spec.combine_source)
-        warm_program(combine_program)
-        combine_tr = translate_cached(combine_program, opt=spec.opt)
-    runner = GpuTaskRunner(
-        map_tr, combine_tr, GpuDevice(spec.gpu), spec.io,
-        num_reducers=spec.num_reducers, replication=spec.replication,
-        min_gpu_mem=spec.min_gpu_mem, engine=spec.engine,
-    )
-    runner.map_snapshot()
-    if combine_tr is not None:
-        runner.combine_snapshot()
-    _gpu_state["spec"] = spec
-    _gpu_state["runner"] = runner
-    _gpu_state["view"] = attach_view(arena_token)
-
-
-def _run_gpu_split(payload: tuple[int, int, int, bool]) -> "GpuTaskResult":
-    index, start, stop, data_local = payload
-    spec: GpuJobSpec = _gpu_state["spec"]
-    runner: "GpuTaskRunner" = _gpu_state["runner"]
-    split = bytes(_gpu_state["view"][start:stop])
-    rec = obs.TraceRecorder() if spec.trace else None
-    previous = obs.install(rec) if rec is not None else None
-    try:
-        return runner.run(split, data_local=data_local, task_index=index)
-    finally:
-        if rec is not None:
-            obs.install(previous)
-
-
-def run_gpu_tasks(runner: "GpuTaskRunner", splits: list[bytes],
-                  workers: int | None = None,
-                  data_local: bool = True) -> "list[GpuTaskResult]":
-    """:meth:`GpuTaskRunner.run_many`'s engine — serial loop at one
-    worker, daemon-pool fan-out above that, results in split order
-    either way.
-
-    Parallel runs drop per-task trace spans (the standalone runner has
-    no parent merge point; :class:`~repro.hadoop.local.LocalJobRunner`'s
-    parallel path is the one that splices worker traces).
-    """
-    nworkers = resolve_workers(workers, tasks=len(splits))
-    if nworkers <= 1:
-        return [runner.run(split, data_local=data_local)
-                for split in splits]
-    kernel = runner.map_tr.map_kernel
-    assert kernel is not None
-    from ..gpu.engine import default_gpu_engine
-
-    spec = GpuJobSpec(
-        map_source=runner.map_tr.program.source,
-        combine_source=(runner.combine_tr.program.source
-                        if runner.combine_tr is not None else None),
-        opt=kernel.opt,
-        map_only=runner.map_only,
-        gpu=runner.device.spec,
-        io=runner.io,
-        num_reducers=runner.num_reducers,
-        replication=runner.replication,
-        min_gpu_mem=runner.min_gpu_mem,
-        engine=runner.engine or default_gpu_engine(),
-        trace=False,
-    )
-    payloads = []
-    offset = 0
-    for i, split in enumerate(splits):
-        payloads.append((i, offset, offset + len(split), data_local))
-        offset += len(split)
-    with SplitArena(b"".join(splits)) as arena:
-        return get_pool().run_job(
-            nworkers, _run_gpu_split, payloads,
-            init_fn=_init_gpu_worker, init_args=(spec, arena.token),
-        )
+    return fan_out(runner, runner.use_gpu, _run_map_task, payloads, data,
+                   workers)

@@ -229,9 +229,9 @@ class GpuTaskRunner:
     def run(self, split: bytes, data_local: bool = True,
             task_index: int | None = None) -> GpuTaskResult:
         """Run one split. ``task_index`` names the task in trace spans
-        (defaults to this process's running ``gpu.tasks`` count; pool
-        workers pass the job-wide index so spliced parent traces number
-        tasks the way the serial run does)."""
+        (defaults to this process's running ``gpu.tasks`` count; job
+        runners pass the job's task index, so span names do not depend
+        on the worker count or on earlier jobs in the same trace)."""
         kernel = self.map_tr.map_kernel
         assert kernel is not None
         device = self.device
@@ -371,55 +371,26 @@ class GpuTaskRunner:
 
         rec = obs.active()
         if rec.enabled:
-            self._record_task_trace(rec, result, task_index)
+            # One task span with a phase child per Fig. 6 category, so
+            # per-task phase sums equal ``result.seconds`` by
+            # construction.
+            index = task_index if task_index is not None \
+                else int(rec.metrics.count("gpu.tasks"))
+            rec.record_task(
+                f"gpu-task#{index} {kernel.name}", "gpu-task",
+                f"gpu:{self.device.spec.name}",
+                args={
+                    "records": result.records,
+                    "emitted_pairs": result.emitted_pairs,
+                    "output_pairs": result.output_pairs,
+                    "output_bytes": result.output_bytes,
+                },
+                phases=result.breakdown.as_dict(),
+                counters={
+                    "gpu.tasks": 1,
+                    "gpu.records": result.records,
+                    "gpu.emitted_pairs": result.emitted_pairs,
+                },
+            )
 
         return result
-
-    def run_many(self, splits: list[bytes], workers: int | None = None,
-                 data_local: bool = True) -> list[GpuTaskResult]:
-        """Run several splits, optionally fanned across pool workers.
-
-        Results come back in split order with per-task timing identical
-        to a serial loop (the simulated device is stateless across
-        tasks: every allocation is freed before the next task starts, so
-        a fresh per-worker device charges the same seconds as a shared
-        one). ``workers=None`` resolves via ``REPRO_WORKERS``.
-        """
-        from ..parallel.maptask import run_gpu_tasks
-
-        return run_gpu_tasks(self, splits, workers=workers,
-                             data_local=data_local)
-
-    def _record_task_trace(self, rec: obs.TraceRecorder,
-                           result: GpuTaskResult,
-                           task_index: int | None = None) -> None:
-        """One task span with a phase child per Fig. 6 category.
-
-        Spans live on the simulated-seconds cursor of the device's
-        ``tasks`` lane; the phase children tile the task span exactly,
-        so per-task phase sums equal ``result.seconds`` by construction
-        (the span-invariant the trace tests assert, and the substrate
-        the Fig. 6 breakdown is derived from).
-        """
-        pid = f"gpu:{self.device.spec.name}"
-        tid = "tasks"
-        kernel = self.map_tr.map_kernel
-        assert kernel is not None
-        index = task_index if task_index is not None \
-            else int(rec.metrics.count("gpu.tasks"))
-        task = rec.begin(
-            f"gpu-task#{index} {kernel.name}", "gpu-task",
-            pid, tid,
-            args={
-                "records": result.records,
-                "emitted_pairs": result.emitted_pairs,
-                "output_pairs": result.output_pairs,
-                "output_bytes": result.output_bytes,
-            },
-        )
-        for phase, seconds in result.breakdown.as_dict().items():
-            rec.complete(phase, "phase", pid, tid, seconds)
-        rec.end(task)
-        rec.inc("gpu.tasks")
-        rec.inc("gpu.records", result.records)
-        rec.inc("gpu.emitted_pairs", result.emitted_pairs)

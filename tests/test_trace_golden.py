@@ -10,6 +10,11 @@ simulator/tracer or a deliberate behaviour change (regenerate with
 ``python -m repro trace WC --mode simulate --policy tail \\
 --task-scale 0.02 -o tests/golden/wc_cluster1_tail.trace.json``).
 
+Three local-mode traces are pinned the same way — one job on the
+default input, at one worker: WC on the GPU path, WC on the CPU path,
+and TS on the CPU path (the regeneration commands are in
+``LOCAL_GOLDENS`` and docs/observability.md).
+
 The schema sweep then validates traces from every Table 2 app on both
 execution paths against the Chrome trace-event rules.
 """
@@ -30,6 +35,17 @@ from repro.scenarios import records_for
 GOLDEN = Path(__file__).resolve().parent / "golden" / "wc_cluster1_tail.trace.json"
 GOLDEN_ARGS = ["trace", "WC", "--mode", "simulate", "--policy", "tail",
                "--task-scale", "0.02", "--cluster", "1"]
+
+#: golden file → the ``repro trace`` arguments that regenerate it
+#: (``python -m repro <args> -o tests/golden/<file>``).
+LOCAL_GOLDENS = {
+    "wc_local_gpu.trace.json": ["trace", "WC", "--mode", "local",
+                                "--workers", "1"],
+    "wc_local_cpu.trace.json": ["trace", "WC", "--mode", "local",
+                                "--cpu-only", "--workers", "1"],
+    "ts_local_cpu.trace.json": ["trace", "TS", "--mode", "local",
+                                "--cpu-only", "--workers", "1"],
+}
 
 APP_TAGS = [app.short for app in all_apps()]
 
@@ -55,6 +71,13 @@ def test_golden_trace_reproduces_byte_for_byte(tmp_path):
         ):
             assert g == w, f"first divergent event at traceEvents[{i}]"
         pytest.fail("traces differ outside traceEvents (metrics/otherData?)")
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_GOLDENS))
+def test_local_golden_trace_reproduces_byte_for_byte(tmp_path, name):
+    with use_gpu_engine("vector"):
+        got = _cli_trace_bytes(tmp_path, name, LOCAL_GOLDENS[name])
+    assert got == (GOLDEN.parent / name).read_bytes()
 
 
 def test_golden_trace_replays_identically_twice(tmp_path):
