@@ -8,6 +8,7 @@ absolute wall-clock numbers; see ``repro.costmodel.calibration``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -124,6 +125,13 @@ class ClusterConfig:
             raise ConfigError("replication factor must be >= 1")
         if not 0.0 <= self.slowstart_maps_fraction <= 1.0:
             raise ConfigError("slowstart fraction must be in [0, 1]")
+        if self.max_map_slots_per_node < 0:
+            raise ConfigError("max_map_slots_per_node must be >= 0")
+        if not (math.isfinite(self.heartbeat_interval_s)
+                and self.heartbeat_interval_s > 0):
+            raise ConfigError(
+                "heartbeat_interval_s must be finite and > 0, got "
+                f"{self.heartbeat_interval_s!r}")
 
     @property
     def total_map_slots(self) -> int:

@@ -96,6 +96,10 @@ class ClusterSimulator:
     #: this multiple of the mean completed-task duration.
     SPECULATION_THRESHOLD = 1.4
 
+    #: The event loop's dispatch log is trimmed once it holds this many
+    #: events (24 bytes each); a 1000-node simulation stays below it.
+    LOG_TRIM_AT = 1 << 16
+
     def __init__(self, job: JobConf, policy: SchedulingPolicy,
                  durations: TaskDurationModel | None = None,
                  speculative: bool | None = None):
@@ -143,11 +147,15 @@ class ClusterSimulator:
             for n in range(cluster.num_slaves)
         ]
         self.loop = EventLoop()
-        # One prebound callback per tracker: heartbeats are by far the most
-        # scheduled event (hundreds of thousands in a 1000-node sweep), so
-        # allocating a fresh closure per beat is measurable waste.
+        # One prebound callback per tracker, so a beat allocates no
+        # closure. They are bound to ``self``; ``run`` drops them when it
+        # returns so a finished simulator is freed by reference counting.
         self._hb_interval = cluster.heartbeat_interval_s
         self._hb_fns = [partial(self._heartbeat, t) for t in self.trackers]
+        #: Sleeping trackers: node → (time of its last beat, key its next
+        #: beat would have had in the event loop).
+        self._asleep: dict[int, tuple[float, float]] = {}
+        self._trim_at = self.LOG_TRIM_AT
         self._map_phase_end = 0.0
         self._failures = 0
         self.speculative = (
@@ -248,9 +256,10 @@ class ClusterSimulator:
     # -- event handlers ---------------------------------------------------------
 
     def _heartbeat(self, tracker: TaskTracker) -> None:
-        if self.jobtracker.all_maps_done:
+        jobtracker = self.jobtracker
+        if jobtracker.all_maps_done:
             return  # cluster drains; no more heartbeats needed
-        response = self.jobtracker.handle_heartbeat(tracker.make_heartbeat())
+        response = jobtracker.handle_heartbeat(tracker.make_heartbeat())
         rec = obs.active()
         if rec.enabled:
             rec.inc("sim.heartbeats")
@@ -260,10 +269,87 @@ class ClusterSimulator:
         for task_id in response.task_ids:
             task = self.jobtracker.get_task(task_id)
             self._launch(tracker, task)
-        if self.speculative and not response.task_ids \
-                and self.jobtracker.pending_maps == 0:
+        pending = jobtracker.pending_maps
+        if self.speculative and not response.task_ids and pending == 0:
             self._maybe_speculate(tracker)
+        if self.loop.logged > self._trim_at:
+            self._trim_log()
+        if pending and self.policy.in_job_tail(
+                pending, jobtracker.gpus_per_node, jobtracker.max_speedup,
+                jobtracker.num_slaves):
+            # Every grant call in the job tail is counted, so no beat is
+            # idle until the pool empties.
+            self._wake_all()
+        elif (pending == 0 and not self.speculative) or tracker.full:
+            # Nothing the next beats could grant, launch or speculate:
+            # sleep until a slot of this node or the pending pool changes.
+            self._asleep[tracker.node] = (self.loop.now, self.loop.mark())
+            return
         self.loop.schedule(self._hb_interval, self._hb_fns[tracker.node])
+
+    def _next_beat(self, node: int) -> tuple[float, float]:
+        """Take ``node`` out of sleep: the time and event-loop key of its
+        first beat still to come, exactly as the beats it slept through
+        would have rescheduled it. The skipped beats still count in
+        ``sim.heartbeats``."""
+        last, first_key = self._asleep.pop(node)
+        loop, interval = self.loop, self._hb_interval
+        prev, when, skipped = last, last + interval, 0
+        while when < loop.now:
+            prev, when = when, when + interval
+            skipped += 1
+        key = self._beat_key(last, first_key, skipped, prev)
+        if when == loop.now and key < loop.key:
+            # A beat at this very instant that came before the event
+            # being dispatched: it is past too.
+            past = key
+            skipped += 1
+            key = loop.key_after(when, lambda: past)
+            when += interval
+        rec = obs.active()
+        if rec.enabled and skipped:
+            rec.inc("sim.heartbeats", skipped)
+        return when, key
+
+    def _beat_key(self, last: float, first_key: float, skipped: int,
+                  prev: float) -> float:
+        """Event-loop key of a sleeper's beat after ``skipped`` skipped
+        beats: the key the last of them, at ``prev``, would have given
+        it when it rescheduled."""
+        if not skipped:
+            return first_key
+
+        def prev_key() -> float:
+            # The skipped beat's own key; needed only on a tie at ``prev``.
+            before = last
+            for _ in range(skipped - 1):
+                before += self._hb_interval
+            return self._beat_key(last, first_key, skipped - 1, before)
+
+        return self.loop.key_after(prev, prev_key)
+
+    def _trim_log(self) -> None:
+        """Keep the dispatch log to what wakes can still ask about: the
+        positions after the oldest sleeper's last beat (or after now)."""
+        loop = self.loop
+        loop.forget_before(min((last for last, _ in self._asleep.values()),
+                               default=loop.now))
+        self._trim_at = max(self.LOG_TRIM_AT, 2 * loop.logged)
+
+    def _wake(self, node: int) -> None:
+        when, key = self._next_beat(node)
+        self.loop.schedule_at(when, self._hb_fns[node], key)
+
+    def _wake_all(self) -> None:
+        for node in list(self._asleep):
+            self._wake(node)
+
+    def _count_slept_beats(self) -> None:
+        """With tracing on, count the beats every sleeper skipped before
+        the event being dispatched, which ends the run."""
+        if obs.active().enabled:
+            for node in list(self._asleep):
+                self._next_beat(node)
 
     def _maybe_speculate(self, tracker: TaskTracker) -> None:
         """Launch a backup attempt for the worst straggler on a free CPU
@@ -333,22 +419,24 @@ class ClusterSimulator:
         task, tracker = attempt.task, attempt.tracker
         if task.state is TaskState.COMPLETED:
             # A speculative backup already finished this task.
-            tracker.release_slot(attempt.slot, elapsed)
+            self._release(tracker, attempt.slot, elapsed)
             self._trace_attempt_end(attempt, "wasted")
             self._drain_gpu_queue(tracker)
             return
         task.fail(self.loop.now)
-        tracker.release_slot(attempt.slot, elapsed)
+        self._release(tracker, attempt.slot, elapsed)
         tracker.stats.failures += 1
         self._failures += 1
         self._running_attempts.pop(task.task_id, None)
         self._trace_attempt_end(attempt, "failed")
+        # The task goes back into the pending pool: every sleeper wakes.
+        self._wake_all()
         self.jobtracker.task_failed(task)
         self._drain_gpu_queue(tracker)
 
     def _attempt_done(self, attempt: _Attempt) -> None:
         task, tracker = attempt.task, attempt.tracker
-        tracker.release_slot(attempt.slot, attempt.duration)
+        self._release(tracker, attempt.slot, attempt.duration)
         if task.state is TaskState.COMPLETED:
             # The other (primary or speculative) attempt already won.
             self.wasted_speculation_seconds += attempt.duration
@@ -364,7 +452,17 @@ class ClusterSimulator:
         self._trace_attempt_end(attempt, "completed")
         self.jobtracker.note_completed(task)
         self._map_phase_end = max(self._map_phase_end, self.loop.now)
+        if self.jobtracker.all_maps_done:
+            self._count_slept_beats()
         self._drain_gpu_queue(tracker)
+
+    def _release(self, tracker: TaskTracker, slot: SlotKind,
+                 seconds: float) -> None:
+        """Free a slot; a sleeping tracker wakes, since its next beat may
+        now be granted work (and reports its updated aveSpeedup)."""
+        tracker.release_slot(slot, seconds)
+        if tracker.node in self._asleep:
+            self._wake(tracker.node)
 
     def _drain_gpu_queue(self, tracker: TaskTracker) -> None:
         queued = tracker.queued_gpu_task()
@@ -393,7 +491,13 @@ class ClusterSimulator:
         num = max(len(self.trackers), 1)
         for i, fn in enumerate(self._hb_fns):
             self.loop.schedule(interval * i / num, fn)
-        self.loop.run()
+        try:
+            self.loop.run()
+        except HadoopError:
+            self._count_slept_beats()
+            raise
+        finally:
+            self._hb_fns = []
 
         if not self.jobtracker.all_maps_done:
             raise HadoopError(

@@ -28,6 +28,13 @@ class GpuFirstPolicy:
         """JobTracker side: stock Hadoop grants one task per free slot."""
         return min(free_cpu_slots + free_gpu_slots, remaining)
 
+    def in_job_tail(self, remaining: int, num_gpus_per_node: int,
+                    max_speedup: float, num_slaves: int) -> bool:
+        """Whether the job tail has begun. Only tail scheduling has one;
+        inside it every grant call is counted, so even a heartbeat that
+        can be granted nothing has an effect."""
+        return False
+
     def remote_cap(self, pending: int, num_slaves: int) -> int | None:
         """Max non-data-local tasks granted per heartbeat, or ``None``
         for unbounded (stock Hadoop takes any task once local ones run

@@ -45,6 +45,9 @@ class SchedulingPolicy(Protocol):
 
     def remote_cap(self, pending: int, num_slaves: int) -> int | None: ...
 
+    def in_job_tail(self, remaining: int, num_gpus_per_node: int,
+                    max_speedup: float, num_slaves: int) -> bool: ...
+
     def place(self, gpu_free: bool, cpu_free: bool,
               num_gpus: int, ave_speedup: float,
               maps_remaining_per_node: float) -> PlacementDecision: ...
@@ -55,6 +58,11 @@ class TailPolicy(GpuFirstPolicy):
 
     name = "tail"
     uses_gpus = True
+
+    def in_job_tail(self, remaining: int, num_gpus_per_node: int,
+                    max_speedup: float, num_slaves: int) -> bool:
+        """The job-tail test ``tasks_to_grant`` applies."""
+        return remaining <= num_gpus_per_node * max_speedup * num_slaves
 
     def tasks_to_grant(self, free_cpu_slots: int, free_gpu_slots: int,
                        remaining: int, num_gpus_per_node: int,

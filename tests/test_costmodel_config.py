@@ -52,6 +52,23 @@ class TestClusterConfigs:
         with pytest.raises(ConfigError):
             dataclasses.replace(CLUSTER1, hdfs_replication=0)
 
+    @pytest.mark.parametrize("interval", [0.0, -0.6, float("inf"),
+                                          float("nan")])
+    def test_heartbeat_interval_must_be_finite_and_positive(self, interval):
+        import dataclasses
+
+        with pytest.raises(ConfigError, match="heartbeat_interval_s"):
+            dataclasses.replace(CLUSTER1, heartbeat_interval_s=interval)
+
+    def test_negative_map_slots_rejected(self):
+        import dataclasses
+
+        with pytest.raises(ConfigError, match="max_map_slots_per_node"):
+            dataclasses.replace(CLUSTER1, max_map_slots_per_node=-1)
+        # Zero CPU slots is a valid (GPU-only) configuration.
+        assert dataclasses.replace(
+            CLUSTER1, max_map_slots_per_node=0).total_map_slots == 0
+
 
 class TestLaunchConfig:
     def test_defaults_sane(self):

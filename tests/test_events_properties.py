@@ -3,7 +3,9 @@
 The simulator's determinism rests entirely on EventLoop's contract:
 time-ordered dispatch with FIFO tie-breaking, monotonically advancing
 ``now``, a non-reentrant ``run``, an ``until`` early-stop checked after
-each event, and a hard event budget against livelock.
+each event, a hard event budget against livelock, and keys that let a
+deferred insertion land where an immediate one would have (sleeping
+heartbeats rely on this).
 """
 
 from __future__ import annotations
@@ -129,3 +131,67 @@ def test_schedule_at_rejects_the_past():
     assert loop.now == 5.0
     with pytest.raises(HadoopError):
         loop.schedule_at(4.0, lambda: None)
+
+
+@given(delays, delays)
+def test_key_after_is_the_mark_a_past_handler_left(first, second):
+    """``key_after`` of a dispatched event recovers the key its handler
+    would have given one more insertion (its closing ``mark``)."""
+    loop = EventLoop()
+    marks: list[tuple[float, float, float]] = []
+
+    def chain() -> None:
+        for d in second:
+            loop.schedule(d, lambda: None)
+        marks.append((loop.now, loop.key, loop.mark()))
+
+    def check() -> None:
+        for when, key, mark in marks:
+            assert loop.key_after(when, lambda key=key: key) == mark
+
+    for d in first:
+        loop.schedule(d, chain)
+    loop.schedule(1000.0, check)
+    loop.run()
+    assert len(marks) == len(first)
+
+
+@given(delays.filter(bool), st.integers(min_value=0, max_value=49),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=100.0).map(lambda d: round(d, 2)))
+def test_held_back_event_keeps_its_place(ds, holder, fraction, delay):
+    """An event whose insertion is deferred — its key taken with
+    ``mark`` and inserted later by ``schedule_at`` — dispatches exactly
+    where inserting it at once would have put it."""
+    holder %= len(ds)
+    wait = round(delay * fraction, 2)
+
+    def dispatch_order(deferred: bool) -> list[str]:
+        loop = EventLoop()
+        fired: list[str] = []
+
+        def held() -> None:
+            fired.append("held")
+
+        def hold() -> None:
+            fired.append(f"{holder}")
+            when = loop.now + delay
+            if not deferred:
+                loop.schedule(wait, lambda: fired.append("waker"))
+                loop.schedule(delay, held)
+                return
+
+            def waker() -> None:
+                fired.append("waker")
+                loop.schedule_at(when, held, key)
+
+            loop.schedule(wait, waker)
+            key = loop.mark()
+
+        for i, d in enumerate(ds):
+            loop.schedule(d, hold if i == holder
+                          else lambda i=i: fired.append(f"{i}"))
+        loop.run()
+        return fired
+
+    assert dispatch_order(True) == dispatch_order(False)

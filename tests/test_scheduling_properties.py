@@ -16,7 +16,9 @@ for every policy in the registry:
   bounded round-robin drain completes every task.
 
 Grants are also bounded by the advertised free slots, so no ordering
-can oversubscribe a tracker.
+can oversubscribe a tracker — and, checked directly over arbitrary pool
+sizes and speedups, a tracker with no free slot is granted nothing (the
+simulator lets such a tracker sleep).
 """
 
 from __future__ import annotations
@@ -121,6 +123,30 @@ def test_policy_invariants_under_arbitrary_heartbeats(policy_name, schedule):
     assert all(t.state is TaskState.COMPLETED for t in tasks)
     assert granted == Counter({t.task_id: 1 for t in tasks})
     assert jt.pending_maps == 0
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@given(free_cpu=st.integers(min_value=0, max_value=64),
+       free_gpu=st.integers(min_value=0, max_value=8),
+       remaining=st.integers(min_value=0, max_value=100_000),
+       gpus=st.integers(min_value=0, max_value=8),
+       max_speedup=st.floats(min_value=1.0, max_value=1e6),
+       num_slaves=st.integers(min_value=1, max_value=2000))
+@settings(max_examples=200, deadline=None)
+def test_grant_never_exceeds_free_slots(policy_name, free_cpu, free_gpu,
+                                        remaining, gpus, max_speedup,
+                                        num_slaves):
+    """The invariant behind a full TaskTracker's sleep in the simulator:
+    whatever the pool and the speedups, a policy grants at most the free
+    slots, so a tracker with none is granted nothing."""
+    policy = POLICIES[policy_name]()
+    kwargs = dict(remaining=remaining, num_gpus_per_node=gpus,
+                  max_speedup=max_speedup, num_slaves=num_slaves)
+    grant = policy.tasks_to_grant(free_cpu_slots=free_cpu,
+                                  free_gpu_slots=free_gpu, **kwargs)
+    assert grant <= free_cpu + free_gpu
+    assert policy.tasks_to_grant(free_cpu_slots=0, free_gpu_slots=0,
+                                 **kwargs) <= 0
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)

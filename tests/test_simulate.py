@@ -1,11 +1,17 @@
 """Cluster simulator integration tests (Fig. 4 machinery)."""
 
+import dataclasses
+import gc
+import time
+import weakref
+
 import pytest
 
 from repro.config import CLUSTER1, CLUSTER2
 from repro.hadoop import ClusterSimulator, JobConf
 from repro.hadoop.shuffle import estimate_reduce_phase
 from repro.costmodel.io import IoModel
+from repro.errors import HadoopError
 from repro.scheduling import CpuOnlyPolicy, GpuFirstPolicy, TailPolicy
 
 
@@ -88,6 +94,30 @@ class TestTailVsGpuFirst:
             if base is not None:
                 assert result.map_phase_seconds <= base * 1.05
             base = result.map_phase_seconds
+
+
+class TestHeartbeatSleep:
+    def test_cluster_that_cannot_run_a_task_fails_promptly(self):
+        # No CPU slot and (cpu-only) no GPU: every tracker is full from
+        # its first beat, sleeps, and the loop drains instead of beating
+        # until the event budget runs out.
+        cluster = dataclasses.replace(CLUSTER1, max_map_slots_per_node=0)
+        start = time.perf_counter()
+        with pytest.raises(HadoopError,
+                           match="drained with 400 maps unfinished"):
+            ClusterSimulator(small_job(cluster=cluster), CpuOnlyPolicy()).run()
+        assert time.perf_counter() - start < 5.0
+
+    def test_finished_simulator_freed_by_reference_counting(self):
+        gc.disable()
+        try:
+            sim = ClusterSimulator(small_job(), TailPolicy())
+            sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFaultTolerance:

@@ -8,12 +8,15 @@ nightly ``-m slow`` tier with the acceptance wall-clock bound.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import time
 
 import pytest
 
-from repro import cli
+from repro import cli, obs
+from repro.hadoop.jobtracker import JobTracker
 from repro.scenarios import (
     DEFAULT_POLICIES,
     all_scenarios,
@@ -127,6 +130,26 @@ class TestPerformance:
         start = time.perf_counter()
         build_simulator(scenario, "tail", "small").run()
         assert time.perf_counter() - start < 15.0
+
+    def test_idle_heartbeats_are_not_dispatched(self, monkeypatch):
+        # Machine-independent guard: on the 8000-task 1000-node run, the
+        # JobTracker handles at most 10% of the beats the trackers would
+        # send (the rest arrive with nothing to grant). The JobResult and
+        # the beat count are the eager loop's, pinned from before trackers
+        # could sleep.
+        handled = []
+        handle = JobTracker.handle_heartbeat
+        monkeypatch.setattr(JobTracker, "handle_heartbeat",
+                            lambda jt, hb: handled.append(1) or handle(jt, hb))
+        scenario = dataclasses.replace(get_scenario("ts-mega1k-tail"),
+                                       waves=1.0)
+        with obs.use_recorder(obs.TraceRecorder()) as rec:
+            result = build_simulator(scenario, "tail").run()
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == (
+            "d8a7622e516ef83fa9949d22450099c03c9d32bf8916ac770616b3a0fae00166")
+        beats = rec.metrics.count("sim.heartbeats")
+        assert beats == 180888
+        assert len(handled) <= 0.10 * beats
 
     @pytest.mark.slow
     def test_thousand_node_three_policy_sweep_within_budget(self):
